@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the hand-rolled ML stack.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use tuna_ml::forest::{ForestParams, RandomForest};
+use tuna_ml::forest::{FeatureSubsample, ForestParams, RandomForest};
 use tuna_ml::gp::{GaussianProcess, Kernel};
 use tuna_ml::linalg::{Cholesky, Matrix};
 use tuna_ml::Regressor;
@@ -15,6 +15,25 @@ fn make_data(n: usize, d: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
     let ys: Vec<f64> = xs
         .iter()
         .map(|x| x.iter().sum::<f64>() + 0.1 * rng.next_gaussian())
+        .collect();
+    (xs, ys)
+}
+
+/// The noise adjuster's training set: 100 samples of 30 continuous
+/// metrics plus a 10-wide one-hot machine block, target = relative error.
+fn adjuster_data(seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let mut rng = Rng::seed_from(seed);
+    let xs: Vec<Vec<f64>> = (0..100)
+        .map(|_| {
+            let machine = rng.below(10);
+            let mut row: Vec<f64> = (0..30).map(|_| rng.next_f64()).collect();
+            row.extend((0..10).map(|m| if m == machine { 1.0 } else { 0.0 }));
+            row
+        })
+        .collect();
+    let ys: Vec<f64> = xs
+        .iter()
+        .map(|x| 0.05 * (x[0] - 0.5) + 0.02 * x[30] + 0.01 * rng.next_gaussian())
         .collect();
     (xs, ys)
 }
@@ -38,6 +57,20 @@ fn bench_forest(c: &mut Criterion) {
             b.iter(|| rf.predict_stats(black_box(&probe)))
         });
     }
+    let (xs, ys) = adjuster_data(4);
+    let params = ForestParams {
+        n_trees: 32,
+        feature_subsample: FeatureSubsample::Third,
+        ..ForestParams::default()
+    };
+    group.bench_function("fit_adjuster_100x40", |b| {
+        b.iter(|| {
+            let mut rf = RandomForest::new(params);
+            rf.fit(black_box(&xs), black_box(&ys), &mut Rng::seed_from(2))
+                .unwrap();
+            rf
+        })
+    });
     group.finish();
 }
 

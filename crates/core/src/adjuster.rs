@@ -107,8 +107,7 @@ impl NoiseAdjuster {
             self.train_x.push(self.features(s));
             self.train_y.push(s.raw / mean - 1.0);
         }
-        // Retraining a forest is cheap: rebuild on every new data point
-        // as the paper does.
+        // Rebuild on every new config, as the paper does.
         let mut model = StandardizedRegressor::new(RandomForest::new(self.config.forest));
         if model
             .fit(

@@ -6,8 +6,8 @@
 //! there because forests generalize from little data, select informative
 //! features implicitly, and are cheap to refit on every new observation.
 
-use crate::tree::{RegressionTree, TreeParams};
-use crate::{check_xy, MlError, Regressor};
+use crate::tree::{Columns, RegressionTree, TreeParams, Workspace};
+use crate::{MlError, Regressor};
 use tuna_stats::rng::Rng;
 
 /// How many candidate features each split considers.
@@ -24,7 +24,9 @@ pub enum FeatureSubsample {
 }
 
 impl FeatureSubsample {
-    fn resolve(&self, n_features: usize) -> Option<usize> {
+    /// The per-split candidate count for `n_features` columns; `None`
+    /// means all of them.
+    pub fn resolve(&self, n_features: usize) -> Option<usize> {
         let k = match self {
             FeatureSubsample::All => return None,
             FeatureSubsample::Sqrt => (n_features as f64).sqrt().round() as usize,
@@ -61,6 +63,9 @@ impl Default for ForestParams {
         }
     }
 }
+
+/// Forests up to this many trees score a row without allocating.
+const STACK_TREES: usize = 64;
 
 /// A fitted (or not-yet-fitted) random forest.
 #[derive(Debug, Clone)]
@@ -117,7 +122,19 @@ impl RandomForest {
     /// Panics if called before fitting.
     pub fn predict_stats(&self, row: &[f64]) -> (f64, f64) {
         assert!(self.is_fitted(), "predict on unfitted forest");
-        let preds: Vec<f64> = self.trees.iter().map(|t| t.predict(row)).collect();
+        // Candidate scoring calls this thousands of times per refit, so
+        // forests of typical size keep the predictions on the stack.
+        let mut stack = [0.0; STACK_TREES];
+        let mut heap = Vec::new();
+        let preds: &mut [f64] = if self.trees.len() <= STACK_TREES {
+            &mut stack[..self.trees.len()]
+        } else {
+            heap.resize(self.trees.len(), 0.0);
+            &mut heap
+        };
+        for (p, t) in preds.iter_mut().zip(&self.trees) {
+            *p = t.predict(row);
+        }
         let n = preds.len() as f64;
         let mean = preds.iter().sum::<f64>() / n;
         let var = if preds.len() < 2 {
@@ -131,32 +148,28 @@ impl RandomForest {
 
 impl Regressor for RandomForest {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64], rng: &mut Rng) -> Result<(), MlError> {
-        let (rows, cols) = check_xy(x, y)?;
+        let data = Columns::new(x, y)?;
         if self.params.n_trees == 0 {
             return Err(MlError::InvalidHyperparameter("n_trees = 0".into()));
         }
+        let (rows, cols) = (data.rows, data.cols);
         self.n_features = cols;
         let tree_params = TreeParams {
             max_features: self.params.feature_subsample.resolve(cols),
             ..self.params.tree
         };
         self.trees.clear();
-        let mut boot_x: Vec<Vec<f64>> = Vec::with_capacity(rows);
-        let mut boot_y: Vec<f64> = Vec::with_capacity(rows);
+        let mut ws = Workspace::default();
         for t in 0..self.params.n_trees {
             let mut tree_rng = rng.fork(t as u64);
-            let tree = if self.params.bootstrap {
-                boot_x.clear();
-                boot_y.clear();
-                for _ in 0..rows {
-                    let i = tree_rng.below(rows);
-                    boot_x.push(x[i].clone());
-                    boot_y.push(y[i]);
-                }
-                RegressionTree::fit(&boot_x, &boot_y, tree_params, &mut tree_rng)?
+            ws.ids.clear();
+            if self.params.bootstrap {
+                ws.ids
+                    .extend((0..rows).map(|_| tree_rng.below(rows) as u32));
             } else {
-                RegressionTree::fit(x, y, tree_params, &mut tree_rng)?
-            };
+                ws.ids.extend(0..rows as u32);
+            }
+            let tree = RegressionTree::fit_rows(&data, tree_params, &mut ws, &mut tree_rng);
             self.trees.push(tree);
         }
         Ok(())

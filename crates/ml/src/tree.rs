@@ -4,6 +4,14 @@
 //! sum of squared errors of the two children; candidate features can be
 //! subsampled per split (the `max_features` knob that decorrelates forest
 //! members).
+//!
+//! A fit sorts each node's rows once per candidate feature, and the order
+//! of tied rows fixes the float summation order of the split search. The
+//! fitter keeps one tie rule: each sort is stable, the split search
+//! re-sorts the previous candidate's order, and a split partitions the
+//! node's own order. Sorting compares precomputed integer ranks of a
+//! shared column-major copy of the data (see `Columns`), never floats, so
+//! the trees match a stable `total_cmp` sort bit for bit.
 
 use crate::{check_xy, MlError};
 use tuna_stats::rng::Rng;
@@ -32,18 +40,170 @@ impl Default for TreeParams {
     }
 }
 
+/// One node of a fitted tree. [`RegressionTree::nodes`] lists them in
+/// build order: a split precedes its left subtree, which precedes its
+/// right subtree, and node 0 is the root.
 #[derive(Debug, Clone, PartialEq)]
-enum Node {
-    Leaf {
-        value: f64,
-        n: usize,
-    },
+pub enum Node {
+    /// Predicts `value`, the mean target of the node's `n` training rows.
+    Leaf { value: f64, n: usize },
+    /// Rows with `row[feature] <= threshold` descend to `left`, the rest
+    /// to `right`.
     Internal {
         feature: usize,
         threshold: f64,
         left: usize,
         right: usize,
     },
+}
+
+/// A training set laid out for fitting, built once per fit and shared by
+/// every tree of a forest: column-major feature values, the targets, and
+/// each column's dense rank. Two values of a column share a rank exactly
+/// when `total_cmp` calls them equal, so sorting rows by rank orders them
+/// as sorting by value would, without touching a float. Trees name rows
+/// by id (their index in `x`), never by copy.
+pub(crate) struct Columns<'a> {
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    /// Column `f` is `values[f * rows..(f + 1) * rows]`.
+    values: Vec<f64>,
+    /// Laid out like `values`.
+    ranks: Vec<u32>,
+    /// Number of distinct ranks per column.
+    distinct: Vec<usize>,
+    y: &'a [f64],
+}
+
+impl<'a> Columns<'a> {
+    /// Checks and lays out a training set.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the training set is empty or ragged, or if row
+    /// ids do not fit in a `u32`.
+    pub(crate) fn new(x: &[Vec<f64>], y: &'a [f64]) -> Result<Self, MlError> {
+        let (rows, cols) = check_xy(x, y)?;
+        if u32::try_from(rows).is_err() {
+            return Err(MlError::ShapeMismatch {
+                detail: format!("{rows} rows exceed u32 row ids"),
+            });
+        }
+        let mut values = Vec::with_capacity(rows * cols);
+        for f in 0..cols {
+            values.extend(x.iter().map(|row| row[f]));
+        }
+        let mut ranks = vec![0u32; rows * cols];
+        let mut distinct = Vec::with_capacity(cols);
+        let mut by_value: Vec<u32> = (0..rows as u32).collect();
+        for (col, rank) in values.chunks_exact(rows).zip(ranks.chunks_exact_mut(rows)) {
+            by_value.sort_unstable_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            let mut r = 0;
+            for w in 1..rows {
+                let (prev, id) = (by_value[w - 1] as usize, by_value[w] as usize);
+                if col[prev].total_cmp(&col[id]).is_ne() {
+                    r += 1;
+                }
+                rank[id] = r;
+            }
+            distinct.push(r as usize + 1);
+        }
+        Ok(Columns {
+            rows,
+            cols,
+            values,
+            ranks,
+            distinct,
+            y,
+        })
+    }
+
+    fn column(&self, f: usize) -> &[f64] {
+        &self.values[f * self.rows..(f + 1) * self.rows]
+    }
+
+    fn rank(&self, f: usize) -> &[u32] {
+        &self.ranks[f * self.rows..(f + 1) * self.rows]
+    }
+}
+
+/// Buffers one fit reuses for every node of every tree.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    /// The rows the next tree trains on, as ids into [`Columns`];
+    /// duplicates are a bootstrap resample.
+    pub(crate) ids: Vec<u32>,
+    /// The split search's order of the node's rows.
+    order: Vec<u32>,
+    sorter: RankSorter,
+}
+
+/// Stable sorts of row ids by a column's ranks: the order a stable
+/// `total_cmp` sort of the ids' values gives.
+#[derive(Debug, Default)]
+struct RankSorter {
+    /// Per-rank counts, then next output slots (counting sort).
+    counts: Vec<u32>,
+    /// Keys `(rank << 32) | position` (keyed sort).
+    keys: Vec<u64>,
+    /// The pre-sort order both sorts gather from.
+    gathered: Vec<u32>,
+}
+
+/// Runs up to this many rows sort by insertion.
+const INSERTION_SORT_MAX: usize = 24;
+
+impl RankSorter {
+    /// Stably sorts `ids` by `data`'s ranks of feature `f`.
+    fn sort(&mut self, ids: &mut [u32], data: &Columns, f: usize) {
+        let rank = data.rank(f);
+        let distinct = data.distinct[f];
+        if ids.len() <= INSERTION_SORT_MAX {
+            for i in 1..ids.len() {
+                let id = ids[i];
+                let r = rank[id as usize];
+                let mut j = i;
+                while j > 0 && rank[ids[j - 1] as usize] > r {
+                    ids[j] = ids[j - 1];
+                    j -= 1;
+                }
+                ids[j] = id;
+            }
+            return;
+        }
+        self.gathered.clear();
+        self.gathered.extend_from_slice(ids);
+        if distinct <= 2 * ids.len() {
+            // Few ranks for the run's length: a counting sort, stable
+            // because it scatters in input order.
+            self.counts.clear();
+            self.counts.resize(distinct, 0);
+            for &id in ids.iter() {
+                self.counts[rank[id as usize] as usize] += 1;
+            }
+            let mut start = 0;
+            for c in &mut self.counts {
+                (*c, start) = (start, start + *c);
+            }
+            for &id in &self.gathered {
+                let slot = &mut self.counts[rank[id as usize] as usize];
+                ids[*slot as usize] = id;
+                *slot += 1;
+            }
+        } else {
+            // Distinct keys, so the unstable sort equals the stable one.
+            self.keys.clear();
+            self.keys.extend(
+                ids.iter()
+                    .enumerate()
+                    .map(|(pos, &id)| u64::from(rank[id as usize]) << 32 | pos as u64),
+            );
+            self.keys.sort_unstable();
+            for (id, &key) in ids.iter_mut().zip(&self.keys) {
+                *id = self.gathered[key as u32 as usize];
+            }
+        }
+    }
 }
 
 /// A fitted regression tree.
@@ -68,44 +228,65 @@ impl RegressionTree {
         params: TreeParams,
         rng: &mut Rng,
     ) -> Result<Self, MlError> {
-        let (_, cols) = check_xy(x, y)?;
+        let data = Columns::new(x, y)?;
+        let mut ws = Workspace::default();
+        ws.ids.extend(0..data.rows as u32);
+        Ok(Self::fit_rows(&data, params, &mut ws, rng))
+    }
+
+    /// Fits a tree to the rows of `data` listed in `ws.ids`, in that
+    /// order.
+    ///
+    /// Row order decides the float summation order, so the tree equals
+    /// one fitted on the listed rows copied out in the same order. A
+    /// repeated id stands for a repeated row: every per-row quantity is
+    /// a function of the id.
+    pub(crate) fn fit_rows(
+        data: &Columns,
+        params: TreeParams,
+        ws: &mut Workspace,
+        rng: &mut Rng,
+    ) -> Self {
         let mut tree = RegressionTree {
             params,
             nodes: Vec::new(),
-            n_features: cols,
-            feature_gains: vec![0.0; cols],
+            n_features: data.cols,
+            feature_gains: vec![0.0; data.cols],
         };
-        let mut indices: Vec<usize> = (0..x.len()).collect();
-        tree.build(x, y, &mut indices, 0, rng);
-        Ok(tree)
+        let mut ids = std::mem::take(&mut ws.ids);
+        tree.build(data, &mut ids, ws, 0, rng);
+        ws.ids = ids;
+        tree
     }
 
-    /// Recursively builds the subtree over `indices`, returning its node id.
+    /// Recursively builds the subtree over `ids`, returning its node id.
     fn build(
         &mut self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        indices: &mut [usize],
+        data: &Columns,
+        ids: &mut [u32],
+        ws: &mut Workspace,
         depth: usize,
         rng: &mut Rng,
     ) -> usize {
-        let n = indices.len();
-        let mean = indices.iter().map(|&i| y[i]).sum::<f64>() / n as f64;
+        let n = ids.len();
+        let mean = ids.iter().map(|&i| data.y[i as usize]).sum::<f64>() / n as f64;
 
         let must_leaf = depth >= self.params.max_depth
             || n < self.params.min_samples_split
             || n < 2 * self.params.min_samples_leaf;
         if !must_leaf {
-            if let Some((feature, threshold, gain, split_at)) = self.best_split(x, y, indices, rng)
+            if let Some((feature, threshold, gain, split_at)) = self.best_split(data, ids, ws, rng)
             {
                 self.feature_gains[feature] += gain;
-                // Partition indices in place around the found threshold.
-                indices.sort_by(|&a, &b| x[a][feature].total_cmp(&x[b][feature]));
-                let (left_idx, right_idx) = indices.split_at_mut(split_at);
+                // Partition in place: re-sort the node's own order (not
+                // the split search's, whose ties were broken by earlier
+                // candidate features) by the split feature.
+                ws.sorter.sort(ids, data, feature);
+                let (left_ids, right_ids) = ids.split_at_mut(split_at);
                 let node_id = self.nodes.len();
                 self.nodes.push(Node::Leaf { value: mean, n }); // Placeholder.
-                let left = self.build(x, y, left_idx, depth + 1, rng);
-                let right = self.build(x, y, right_idx, depth + 1, rng);
+                let left = self.build(data, left_ids, ws, depth + 1, rng);
+                let right = self.build(data, right_ids, ws, depth + 1, rng);
                 self.nodes[node_id] = Node::Internal {
                     feature,
                     threshold,
@@ -126,14 +307,15 @@ impl RegressionTree {
     /// split satisfies the leaf-size constraint or improves the SSE.
     fn best_split(
         &self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        indices: &[usize],
+        data: &Columns,
+        ids: &[u32],
+        ws: &mut Workspace,
         rng: &mut Rng,
     ) -> Option<(usize, f64, f64, usize)> {
-        let n = indices.len();
-        let total_sum: f64 = indices.iter().map(|&i| y[i]).sum();
-        let total_sq: f64 = indices.iter().map(|&i| y[i] * y[i]).sum();
+        let n = ids.len();
+        let y = data.y;
+        let total_sum: f64 = ids.iter().map(|&i| y[i as usize]).sum();
+        let total_sq: f64 = ids.iter().map(|&i| y[i as usize] * y[i as usize]).sum();
         let parent_sse = total_sq - total_sum * total_sum / n as f64;
         if parent_sse <= 1e-12 {
             return None; // Pure node.
@@ -152,13 +334,19 @@ impl RegressionTree {
 
         let min_leaf = self.params.min_samples_leaf;
         let mut best: Option<(usize, f64, f64, usize)> = None;
-        let mut order: Vec<usize> = indices.to_vec();
+        // Not reset between features: each feature's order is a stable
+        // sort of the previous one's, so its ties keep that order, and
+        // tie order fixes the summation order below.
+        let order = &mut ws.order;
+        order.clear();
+        order.extend_from_slice(ids);
         for &f in &features {
-            order.sort_by(|&a, &b| x[a][f].total_cmp(&x[b][f]));
+            ws.sorter.sort(order, data, f);
+            let x = data.column(f);
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
             for pos in 0..n - 1 {
-                let yi = y[order[pos]];
+                let yi = y[order[pos] as usize];
                 left_sum += yi;
                 left_sq += yi * yi;
                 let left_n = pos + 1;
@@ -166,8 +354,8 @@ impl RegressionTree {
                 if left_n < min_leaf || right_n < min_leaf {
                     continue;
                 }
-                let xv = x[order[pos]][f];
-                let xn = x[order[pos + 1]][f];
+                let xv = x[order[pos] as usize];
+                let xn = x[order[pos + 1] as usize];
                 if xn <= xv {
                     continue; // Tied feature values cannot separate here.
                 }
@@ -209,6 +397,11 @@ impl RegressionTree {
                 }
             }
         }
+    }
+
+    /// The nodes in build order (see [`Node`]).
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// Number of nodes (internal + leaves).

@@ -165,34 +165,43 @@ fn event_loop(shared: &Shared, listener: &TcpListener) -> ! {
     let mut streams: BTreeMap<usize, TcpStream> = BTreeMap::new();
     let started = Instant::now();
     let mut buf = [0u8; 16 * 1024];
+    // Connections to read this iteration, by engine id: the ones poll(2)
+    // flagged, then the ones just accepted.
+    let mut ready: Vec<usize> = Vec::new();
 
     loop {
-        wait_ready(listener, &streams, &engine);
+        let listener_ready = wait_ready(listener, &streams, &engine, &mut ready);
         let now = started.elapsed().as_millis() as u64;
 
         // Accept every pending connection. Past capacity the engine
         // queues a structured 503 and the slot closes after the flush —
         // a visible refusal, never a silent drop.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+        if listener_ready {
+            loop {
+                match listener.accept() {
+                    Ok((stream, _)) => {
+                        if stream.set_nonblocking(true).is_err() {
+                            continue;
+                        }
+                        let id = engine.connect(now);
+                        streams.insert(id, stream);
+                        ready.push(id);
                     }
-                    let id = engine.connect(now);
-                    streams.insert(id, stream);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    eprintln!("tunad: accept failed: {e}");
-                    break;
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) => {
+                        eprintln!("tunad: accept failed: {e}");
+                        break;
+                    }
                 }
             }
         }
 
-        // Read whatever every readable peer sent.
+        // Read whatever every ready peer sent.
         let mut broken: Vec<usize> = Vec::new();
-        for (&id, stream) in &mut streams {
+        for &id in &ready {
+            let Some(stream) = streams.get_mut(&id) else {
+                continue;
+            };
             if !engine.accepts_input(id) {
                 continue;
             }
@@ -215,7 +224,8 @@ fn event_loop(shared: &Shared, listener: &TcpListener) -> ! {
 
         // Dispatch queued requests under the manager lock (cheap,
         // in-memory routing only) and wake the pool if submits landed.
-        {
+        // With nothing decoded, the workers keep the lock to themselves.
+        if engine.has_pending() {
             let mut mgr = shared.mgr.lock().expect("manager lock");
             if engine.dispatch(&mut mgr, now) > 0 {
                 shared.work.notify_all();
@@ -225,11 +235,11 @@ fn event_loop(shared: &Shared, listener: &TcpListener) -> ! {
 
         // Flush response bytes; tolerate partial writes.
         for (&id, stream) in &mut streams {
-            let pending = engine.pending_output(id).to_vec();
+            let pending = engine.pending_output(id);
             if pending.is_empty() {
                 continue;
             }
-            match stream.write(&pending) {
+            match stream.write(pending) {
                 Ok(n) => {
                     engine.consume_output(id, n);
                     let _ = stream.flush();
@@ -257,9 +267,16 @@ fn event_loop(shared: &Shared, listener: &TcpListener) -> ! {
 }
 
 /// Blocks until the listener or any connection is ready (or the timeout
-/// elapses, so time budgets still advance on an idle daemon).
+/// elapses, so time budgets still advance on an idle daemon). Fills
+/// `ready` with the ids of the connections to read and returns whether
+/// the listener has connections to accept.
 #[cfg(target_os = "linux")]
-fn wait_ready(listener: &TcpListener, streams: &BTreeMap<usize, TcpStream>, engine: &Engine) {
+fn wait_ready(
+    listener: &TcpListener,
+    streams: &BTreeMap<usize, TcpStream>,
+    engine: &Engine,
+    ready: &mut Vec<usize>,
+) -> bool {
     use std::os::fd::{AsRawFd, RawFd};
 
     #[repr(C)]
@@ -270,6 +287,8 @@ fn wait_ready(listener: &TcpListener, streams: &BTreeMap<usize, TcpStream>, engi
     }
     const POLLIN: i16 = 0x001;
     const POLLOUT: i16 = 0x004;
+    const POLLERR: i16 = 0x008;
+    const POLLHUP: i16 = 0x010;
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
     }
@@ -281,7 +300,10 @@ fn wait_ready(listener: &TcpListener, streams: &BTreeMap<usize, TcpStream>, engi
         revents: 0,
     });
     for (&id, stream) in streams {
-        let mut events = POLLIN;
+        let mut events = 0;
+        if engine.accepts_input(id) {
+            events |= POLLIN;
+        }
         if !engine.pending_output(id).is_empty() {
             events |= POLLOUT;
         }
@@ -291,10 +313,6 @@ fn wait_ready(listener: &TcpListener, streams: &BTreeMap<usize, TcpStream>, engi
             revents: 0,
         });
     }
-    // A failed poll degrades to the timeout path: the loop's reads are
-    // non-blocking either way, so readiness is an optimization, never a
-    // correctness requirement.
-    //
     // SAFETY: `fds` outlives the call and `fds.len()` is its exact
     // element count, so the kernel reads/writes only within the
     // allocation; `PollFd` is `#[repr(C)]` field-for-field identical to
@@ -302,16 +320,36 @@ fn wait_ready(listener: &TcpListener, streams: &BTreeMap<usize, TcpStream>, engi
     // `TcpStream` borrowed for the duration of the call. poll(2) has no
     // other preconditions, and its only side effect is filling
     // `revents`.
-    unsafe {
-        poll(fds.as_mut_ptr(), fds.len() as u64, POLL_TIMEOUT_MS);
-    }
+    let polled = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, POLL_TIMEOUT_MS) };
+    ready.clear();
+    // A failed poll degrades to trying every socket: the loop's reads
+    // and accepts are non-blocking either way, so readiness saves work
+    // but is never a correctness requirement. `fds[1..]` follows the
+    // map's order, so the ids line up.
+    let readable = |fd: &PollFd| polled < 0 || fd.revents & (POLLIN | POLLERR | POLLHUP) != 0;
+    ready.extend(
+        streams
+            .keys()
+            .zip(&fds[1..])
+            .filter(|(_, fd)| readable(fd))
+            .map(|(&id, _)| id),
+    );
+    readable(&fds[0])
 }
 
 #[cfg(not(target_os = "linux"))]
-fn wait_ready(_listener: &TcpListener, _streams: &BTreeMap<usize, TcpStream>, _engine: &Engine) {
+fn wait_ready(
+    _listener: &TcpListener,
+    streams: &BTreeMap<usize, TcpStream>,
+    _engine: &Engine,
+    ready: &mut Vec<usize>,
+) -> bool {
     std::thread::sleep(std::time::Duration::from_millis(
         POLL_TIMEOUT_MS as u64 / 10,
     ));
+    ready.clear();
+    ready.extend(streams.keys().copied());
+    true
 }
 
 fn worker_loop(shared: &Shared) {

@@ -384,6 +384,13 @@ impl Engine {
         dispatched
     }
 
+    /// Whether any connection holds work for [`Engine::dispatch`]:
+    /// decoded requests or a queued shed response. Without it, dispatch
+    /// is a no-op and the caller need not take the manager lock.
+    pub fn has_pending(&self) -> bool {
+        self.conns.iter().flatten().any(|c| !c.pending.is_empty())
+    }
+
     /// Advances time: stalled mid-frame connections past their request
     /// budget are shed with a `408`; idle keep-alive connections past
     /// the idle budget are closed silently.
@@ -540,6 +547,27 @@ mod tests {
         assert_eq!(parts.len(), 3);
         assert!(parts.iter().all(|(s, _)| *s == 200));
         assert!(!engine.wants_close(id), "keep-alive stays open");
+    }
+
+    #[test]
+    fn has_pending_tracks_undispatched_work() {
+        let mut mgr = StudyManager::in_memory();
+        let mut engine = Engine::new(tiny_cfg());
+        let id = engine.connect(0);
+        assert!(!engine.has_pending());
+        let req = request_bytes_with("GET", "/healthz", "", true);
+        let (head, tail) = req.split_at(req.len() - 1);
+        engine.recv(id, head, 0);
+        assert!(!engine.has_pending(), "a partial frame is not work yet");
+        engine.recv(id, tail, 0);
+        assert!(engine.has_pending());
+        assert_eq!(engine.dispatch(&mut mgr, 0), 1);
+        assert!(!engine.has_pending());
+        // A shed response waits for dispatch too: it is answered in order.
+        engine.recv(id, b"NOT HTTP\r\n\r\n", 1);
+        assert!(engine.has_pending());
+        engine.dispatch(&mut mgr, 1);
+        assert!(!engine.has_pending());
     }
 
     #[test]
