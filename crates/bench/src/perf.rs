@@ -37,7 +37,7 @@ use tuna_core::outlier::OutlierDetector;
 use tuna_core::pipeline::{TunaConfig, TunaPipeline, TuningResult};
 use tuna_optimizer::multifidelity::LadderParams;
 use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
-use tuna_optimizer::{Objective, Optimizer};
+use tuna_optimizer::{Objective, Solver};
 use tuna_stats::ar1::Ar1;
 use tuna_stats::bootstrap::bootstrap_mean_ci;
 use tuna_stats::corr::{pearson, spearman_with, RankScratch};
@@ -292,7 +292,7 @@ fn objective_for(workload: &Workload) -> Objective {
     }
 }
 
-fn smac_for(sut: &dyn SystemUnderTest, objective: Objective) -> Box<dyn Optimizer> {
+fn smac_for(sut: &dyn SystemUnderTest, objective: Objective) -> Box<dyn Solver> {
     Box::new(SmacOptimizer::multi_fidelity(
         sut.space().clone(),
         objective,

@@ -13,8 +13,8 @@
 //!   No RNG state flows between cells, so execution order cannot matter.
 //! - **Work-stealing over cells.** The runner reuses the executor's
 //!   [`ExecutionMode`] vocabulary but parallelizes at the *cell* level:
-//!   worker threads claim whole cells from a shared cursor (the same
-//!   idiom as [`crate::executor`]'s lane pool). Trials inside a campaign
+//!   worker threads claim whole cells through the same ordered parallel
+//!   map [`crate::executor`] runs its lanes on. Trials inside a campaign
 //!   cell always run serially — the scaling axis is the grid itself, and
 //!   results are bit-identical for any worker count either way.
 //! - **A checksummed, resumable [`ResultStore`].** Every finished cell is
@@ -46,13 +46,12 @@
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::aggregate::AggregationPolicy;
 use crate::baselines::{run_arena, run_naive_distributed};
 use crate::deploy::{default_worst_case_with, evaluate_deployment_with};
-use crate::executor::ExecutionMode;
+use crate::executor::{ordered_map, ExecutionMode};
 use crate::experiment::{Experiment, Method, RunSummary, SolverId};
 use crate::pipeline::{TunaConfig, TunaPipeline, TuningResult};
 use crate::report::{summarize_method, MethodSummary};
@@ -937,9 +936,10 @@ impl ResultStore {
         Ok(repaired)
     }
 
-    /// Atomically rewrites the journal to exactly the verified records —
-    /// the repair half of torn-tail recovery, so a later append lands on
-    /// a clean file instead of concatenating with the torn bytes.
+    /// Atomically rewrites the journal to exactly the held records in
+    /// cell order: [`ResultStore::finalize`]'s canonical CSV, and the
+    /// repair half of torn-tail recovery, so a later append lands on a
+    /// clean file instead of concatenating with the torn bytes.
     fn rewrite_journal(&self, campaign: &Campaign) -> Result<(), String> {
         let Some(path) = &self.path else {
             return Ok(());
@@ -985,29 +985,30 @@ impl ResultStore {
     /// [`ResultStore::finalize`] canonicalizes it. Public so external
     /// schedulers (the serve daemon) can stream cells they executed via
     /// [`execute_cell`] into the same store format the runner writes.
-    pub fn record(&mut self, campaign: &Campaign, record: CellRecord) {
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the journal append fails. The cell is
+    /// recorded in memory regardless, so [`ResultStore::finalize`] still
+    /// writes it.
+    pub fn record(&mut self, campaign: &Campaign, record: CellRecord) -> Result<(), String> {
+        let mut appended = Ok(());
         if let Some(path) = &self.path {
             let mut text = String::new();
             // Write the header before the first row of a fresh journal —
             // including a pre-created empty file, which has no header yet
             // (journals without one are refused on load).
-            let file_is_empty = path.metadata().map_or(true, |m| m.len() == 0);
-            if self.records.is_empty() && file_is_empty {
+            if self.records.is_empty() && path.metadata().map_or(true, |m| m.len() == 0) {
                 text.push_str(&self.header);
                 text.push('\n');
                 text.push_str(CSV_COLUMNS);
                 text.push('\n');
             }
             write_csv_record(&mut text, campaign, &record);
-            if let Ok(mut f) = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-            {
-                let _ = f.write_all(text.as_bytes());
-            }
+            appended = append_lines(path, &text);
         }
         self.records.insert(record.cell, record);
+        appended
     }
 
     /// Campaign-level checksum: FNV-1a over per-cell checksums in cell
@@ -1029,24 +1030,14 @@ impl ResultStore {
     ///
     /// Returns an error on I/O failure.
     pub fn finalize(&self, campaign: &Campaign) -> Result<(), String> {
-        let Some(path) = &self.path else {
+        let Some(json_path) = self.json_path() else {
             return Ok(());
         };
-        let mut csv = String::new();
-        csv.push_str(&self.header);
-        csv.push('\n');
-        csv.push_str(CSV_COLUMNS);
-        csv.push('\n');
-        for record in self.records.values() {
-            write_csv_record(&mut csv, campaign, record);
-        }
         // Atomic replace (write-temp-then-rename): an interrupt during
         // finalize must not destroy the journal of completed cells —
         // surviving interrupts is this store's whole point.
-        write_atomic(path, &csv)?;
-        let json_path = self.json_path().expect("file-backed store");
-        write_atomic(&json_path, &self.to_json(campaign))?;
-        Ok(())
+        self.rewrite_journal(campaign)?;
+        write_atomic(&json_path, &self.to_json(campaign))
     }
 
     /// Serializes the store to the canonical JSON layout (fixed schema,
@@ -1122,6 +1113,20 @@ pub fn write_atomic(path: &Path, text: &str) -> Result<(), String> {
             path.display()
         )
     })
+}
+
+/// Appends `text`, whole `\n`-terminated lines, to `path` in one write,
+/// creating the file if needed. Unlike [`write_atomic`] this is a plain
+/// append: the readers' torn-tail load discipline (the result journal's
+/// and the serve daemon's trace sidecar's) makes a mid-append kill safe.
+pub fn append_lines(path: &Path, text: &str) -> Result<(), String> {
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+    f.write_all(text.as_bytes())
+        .map_err(|e| format!("cannot append to {}: {e}", path.display()))
 }
 
 // Quoting of identifiers in the JSON mirror (labels exclude
@@ -1206,10 +1211,11 @@ fn parse_csv_row(line: &str) -> Result<(usize, CellRow, String), String> {
 /// threads.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignRunner {
-    /// Cell-level execution mode: [`ExecutionMode::Serial`] runs cells in
-    /// grid order on the calling thread; `Parallel { workers }` lets up to
-    /// `workers` threads claim cells from a shared cursor. Results and
-    /// store contents are bit-identical either way.
+    /// Cell-level execution mode: its worker count goes to the executor's
+    /// ordered parallel map, which runs the pending cells in grid order on
+    /// the calling thread for one worker and lets up to `workers` threads
+    /// claim them otherwise. Results and store contents are bit-identical
+    /// either way.
     pub mode: ExecutionMode,
     /// Stop after this many *newly executed* cells (checkpointing /
     /// interrupt simulation). `None` runs the whole grid.
@@ -1278,60 +1284,23 @@ impl CampaignRunner {
         // Trials inside campaign cells always execute serially: the
         // campaign's scaling axis is the grid, and the executor's
         // serial-equivalence contract makes this numerically irrelevant.
+        // Each cell streams into the store as soon as it finishes, so a
+        // killed run resumes from every cell completed before the kill.
         let inner = ExecutionMode::Serial;
-        let workers = self.mode.workers().min(to_run.len().max(1));
-        let executed: Vec<(usize, CellRecord, CellPayload)> = if workers <= 1 {
-            let mut out = Vec::with_capacity(to_run.len());
-            for &cell in &to_run {
-                let (record, payload) = execute_cell(campaign, cell, inner);
-                store.record(campaign, record.clone());
-                out.push((cell, record, payload));
+        let shared_store = Mutex::new(&mut *store);
+        let executed = ordered_map(to_run, self.mode.workers(), |_, cell| {
+            let (record, payload) = execute_cell(campaign, cell, inner);
+            let appended = shared_store
+                .lock()
+                .expect("store mutex poisoned")
+                .record(campaign, record);
+            if let Err(e) = appended {
+                eprintln!("campaign '{}': store append failed: {e}", campaign.name);
             }
-            out
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let shared_store = Mutex::new(&mut *store);
-            let mut harvests: Vec<Vec<(usize, CellRecord, CellPayload)>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            let cursor = &cursor;
-                            let to_run = &to_run;
-                            let shared_store = &shared_store;
-                            scope.spawn(move || {
-                                let mut produced = Vec::new();
-                                loop {
-                                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                    let Some(&cell) = to_run.get(i) else {
-                                        break;
-                                    };
-                                    let (record, payload) = execute_cell(campaign, cell, inner);
-                                    shared_store
-                                        .lock()
-                                        .expect("store mutex poisoned")
-                                        .record(campaign, record.clone());
-                                    produced.push((cell, record, payload));
-                                }
-                                produced
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("campaign worker panicked"))
-                        .collect()
-                });
-            let mut out: Vec<(usize, CellRecord, CellPayload)> = Vec::with_capacity(to_run.len());
-            for harvest in &mut harvests {
-                out.append(harvest);
-            }
-            out
-        };
+            (cell, payload)
+        });
         let executed_count = executed.len();
-        let mut payloads: BTreeMap<usize, CellPayload> = BTreeMap::new();
-        for (cell, _, payload) in executed {
-            payloads.insert(cell, payload);
-        }
+        let mut payloads: BTreeMap<usize, CellPayload> = executed.into_iter().collect();
 
         if let Err(e) = store.finalize(campaign) {
             eprintln!("campaign '{}': store finalize failed: {e}", campaign.name);
@@ -1786,6 +1755,22 @@ mod tests {
     }
 
     #[test]
+    fn failed_journal_append_is_reported() {
+        let campaign = tiny_campaign("append-fails");
+        let dir = std::env::temp_dir().join(format!("tuna-campaign-append-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("campaign.csv");
+        let mut store = ResultStore::open(&path, &campaign).unwrap();
+        // A directory where the journal should be: the append cannot open it.
+        std::fs::create_dir_all(&path).unwrap();
+        let (record, _) = execute_cell(&campaign, 0, ExecutionMode::Serial);
+        let err = store.record(&campaign, record).unwrap_err();
+        assert!(err.contains("campaign.csv"), "{err}");
+        assert_eq!(store.len(), 1, "the cell is still held in memory");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn mismatched_store_is_refused() {
         let campaign = tiny_campaign("original");
         let dir =
@@ -1880,7 +1865,7 @@ mod tests {
                 if let Some(kept) = store.get(cell) {
                     assert_eq!(kept, record, "offset {offset}: kept cell {cell} differs");
                 } else {
-                    store.record(&campaign, record.clone());
+                    store.record(&campaign, record.clone()).unwrap();
                 }
             }
             store.finalize(&campaign).unwrap();

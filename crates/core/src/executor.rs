@@ -22,10 +22,13 @@
 //!    lane executes its runs in plan order, so every machine observes the
 //!    exact same sequence of measurement epochs as under serial execution.
 //!
-//! The engine is a scoped-thread worker pool (`std::thread::scope`, no
-//! external dependencies): worker threads claim lanes from a shared queue,
-//! execute them, and scatter outcomes back into plan order. Per-lane
-//! wall-clock is recorded in [`BatchStats`] so speedup is measurable.
+//! One helper, `ordered_map`, does all fanning out in this crate: it maps
+//! a closure over a list of items on up to `workers` scoped standard
+//! library threads (no external dependencies) and returns results in
+//! input order, running inline on the calling thread when there is at
+//! most one worker. [`execute_batch`] maps it over lanes, and the campaign
+//! runner maps it over cells. Per-lane wall-clock is recorded in
+//! [`BatchStats`] so speedup is measurable.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -195,13 +198,6 @@ fn exec_metrics() -> &'static ExecMetrics {
     })
 }
 
-/// A lane: one machine plus the (plan-ordered) request indices it runs.
-struct Lane<'a> {
-    machine_idx: usize,
-    machine: &'a mut Machine,
-    requests: Vec<usize>,
-}
-
 /// Executes a batch of trial runs and returns the outcomes in plan order
 /// plus wall-clock accounting.
 ///
@@ -242,32 +238,45 @@ pub fn execute_batch(
 
     let workers = mode.workers().min(machine_order.len());
     let batch_start = Instant::now();
-    let (mut outcomes, lanes, steals) = if workers <= 1 {
-        let (outcomes, lanes) = execute_lanes_serial(
-            sut,
-            workload,
-            cluster,
-            base,
-            requests,
-            &machine_order,
-            &lane_requests,
-        );
-        (outcomes, lanes, 0)
-    } else {
-        execute_lanes_parallel(
-            sut,
-            workload,
-            cluster,
-            base,
-            requests,
-            &machine_order,
-            lane_requests,
-            workers,
-        )
-    };
+    let lanes: Vec<(&mut Machine, Vec<usize>)> = cluster
+        .lanes_mut(&machine_order)
+        .into_iter()
+        .zip(lane_requests)
+        .collect();
+    let ran = ordered_map(lanes, workers, |worker, (machine, reqs)| {
+        let start = Instant::now();
+        let outcomes: Vec<RunOutcome> = reqs
+            .iter()
+            .map(|&i| {
+                let req = &requests[i];
+                let mut rng = base.fork(req.stream);
+                sut.run(req.config, workload, machine, &mut rng)
+            })
+            .collect();
+        (worker, reqs, outcomes, start.elapsed().as_nanos())
+    });
+
+    let mut outcomes: Vec<Option<RunOutcome>> = requests.iter().map(|_| None).collect();
+    let mut lane_stats: Vec<LaneStats> = Vec::with_capacity(ran.len());
+    let mut steals: u64 = 0;
+    for ((worker, reqs, lane_outcomes, nanos), &machine) in ran.into_iter().zip(&machine_order) {
+        // A lane run by any worker but the first would have serialized
+        // behind it on a single thread: that is the "stolen" work.
+        steals += u64::from(worker != 0);
+        lane_stats.push(LaneStats {
+            machine,
+            runs: reqs.len(),
+            nanos,
+        });
+        for (i, outcome) in reqs.into_iter().zip(lane_outcomes) {
+            outcomes[i] = Some(outcome);
+        }
+    }
+    // Deterministic reporting order regardless of which worker ran what.
+    lane_stats.sort_by_key(|l| l.machine);
     let stats = BatchStats {
         wall_nanos: batch_start.elapsed().as_nanos(),
-        lanes,
+        lanes: lane_stats,
     };
 
     let metrics = exec_metrics();
@@ -282,159 +291,70 @@ pub fn execute_batch(
     }
 
     let ordered: Vec<RunOutcome> = outcomes
-        .iter_mut()
-        .map(|slot| slot.take().expect("every request produces an outcome"))
+        .into_iter()
+        .map(|slot| slot.expect("every request produces an outcome"))
         .collect();
     (ordered, stats)
 }
 
-/// Runs one request with its forked generator.
-fn run_one(
-    sut: &dyn SystemUnderTest,
-    workload: &Workload,
-    machine: &mut Machine,
-    base: &Rng,
-    req: &RunRequest<'_>,
-) -> RunOutcome {
-    let mut rng = base.fork(req.stream);
-    sut.run(req.config, workload, machine, &mut rng)
-}
-
-fn execute_lanes_serial(
-    sut: &dyn SystemUnderTest,
-    workload: &Workload,
-    cluster: &mut Cluster,
-    base: &Rng,
-    requests: &[RunRequest<'_>],
-    machine_order: &[usize],
-    lane_requests: &[Vec<usize>],
-) -> (Vec<Option<RunOutcome>>, Vec<LaneStats>) {
-    let mut outcomes: Vec<Option<RunOutcome>> = requests.iter().map(|_| None).collect();
-    // Lane by lane, each lane's requests in plan order — the exact
-    // per-machine sequence the parallel path executes.
-    let mut lanes: Vec<LaneStats> = machine_order
-        .iter()
-        .zip(lane_requests)
-        .map(|(&machine, reqs)| {
-            let start = Instant::now();
-            for &i in reqs {
-                let req = &requests[i];
-                outcomes[i] = Some(run_one(
-                    sut,
-                    workload,
-                    cluster.machine_mut(machine),
-                    base,
-                    req,
-                ));
-            }
-            LaneStats {
-                machine,
-                runs: reqs.len(),
-                nanos: start.elapsed().as_nanos(),
-            }
-        })
-        .collect();
-    lanes.sort_by_key(|l| l.machine);
-    (outcomes, lanes)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_lanes_parallel(
-    sut: &dyn SystemUnderTest,
-    workload: &Workload,
-    cluster: &mut Cluster,
-    base: &Rng,
-    requests: &[RunRequest<'_>],
-    machine_order: &[usize],
-    lane_requests: Vec<Vec<usize>>,
+/// Maps `f` over `items` on up to `workers` threads and returns the
+/// results in input order. `f` also gets the index (`< workers`) of the
+/// worker that ran the item.
+///
+/// With at most one worker (or one item) every item is mapped inline on
+/// the calling thread as worker 0. Otherwise scoped threads claim items
+/// through an atomic cursor over locked slots; each slot is claimed
+/// exactly once, so the locks are uncontended and exist only to move
+/// each item (a lane's `&mut Machine`, say) to the thread that claims
+/// it.
+///
+/// # Panics
+///
+/// Propagates a panic of `f`.
+pub(crate) fn ordered_map<T: Send, R: Send>(
+    items: Vec<T>,
     workers: usize,
-) -> (Vec<Option<RunOutcome>>, Vec<LaneStats>, u64) {
-    let machines = cluster.lanes_mut(machine_order);
-    let mut lanes: Vec<Lane<'_>> = machines
-        .into_iter()
-        .zip(machine_order.iter().zip(lane_requests))
-        .map(|(machine, (&machine_idx, reqs))| Lane {
-            machine_idx,
-            machine,
-            requests: reqs,
-        })
-        .collect();
-    let n_lanes = lanes.len();
-
-    // Workers claim lanes through an atomic cursor over a locked slot
-    // vector; each lane is claimed exactly once, so the locks are
-    // uncontended and exist only to move the `&mut Machine` across
-    // threads safely.
-    let slots: Vec<Mutex<Option<Lane<'_>>>> =
-        lanes.drain(..).map(|l| Mutex::new(Some(l))).collect();
-    let cursor = AtomicUsize::new(0);
-
-    // What one worker thread brings home: outcomes tagged with their
-    // lane index, plus per-lane timing.
-    type WorkerHarvest = (Vec<(usize, RunOutcome)>, Vec<LaneStats>, u64);
-    let mut per_worker: Vec<WorkerHarvest> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|wi| {
-                let slots = &slots;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut produced: Vec<(usize, RunOutcome)> = Vec::new();
-                    let mut lane_stats: Vec<LaneStats> = Vec::new();
-                    let mut claimed: u64 = 0;
-                    loop {
-                        let l = cursor.fetch_add(1, Ordering::Relaxed);
-                        if l >= n_lanes {
-                            break;
-                        }
-                        claimed += 1;
-                        let lane = slots[l]
-                            .lock()
-                            .expect("lane mutex poisoned")
-                            .take()
-                            .expect("lane claimed twice");
-                        let start = Instant::now();
-                        for &i in &lane.requests {
-                            let req = &requests[i];
-                            let outcome = run_one(sut, workload, lane.machine, base, req);
-                            produced.push((i, outcome));
-                        }
-                        lane_stats.push(LaneStats {
-                            machine: lane.machine_idx,
-                            runs: lane.requests.len(),
-                            nanos: start.elapsed().as_nanos(),
-                        });
-                    }
-                    // A lane run by any thread but the first would have
-                    // serialized behind it in a single-threaded pool —
-                    // that is the "stolen" work the steal counter sees.
-                    (produced, lane_stats, if wi == 0 { 0 } else { claimed })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("executor worker panicked"))
-            .collect()
-    });
-
-    let mut outcomes: Vec<Option<RunOutcome>> = requests.iter().map(|_| None).collect();
-    let mut lane_stats: Vec<LaneStats> = Vec::with_capacity(n_lanes);
-    let mut steals: u64 = 0;
-    for (produced, stats, stolen) in &mut per_worker {
-        for (i, outcome) in produced.drain(..) {
-            outcomes[i] = Some(outcome);
-        }
-        lane_stats.append(stats);
-        steals += *stolen;
+    f: impl Fn(usize, T) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items.into_iter().map(|item| f(0, item)).collect();
     }
-    // Deterministic reporting order regardless of which worker ran what.
-    lane_stats.sort_by_key(|l| l.machine);
-    (outcomes, lane_stats, steals)
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let results: Vec<Mutex<Option<R>>> = slots.iter().map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for worker in 0..workers {
+            let (f, slots, results, cursor) = (&f, &slots, &results, &cursor);
+            scope.spawn(move || loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else {
+                    break;
+                };
+                let item = slot
+                    .lock()
+                    .expect("slot mutex poisoned")
+                    .take()
+                    .expect("item claimed twice");
+                let result = f(worker, item);
+                *results[i].lock().expect("result mutex poisoned") = Some(result);
+            });
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| {
+            r.into_inner()
+                .expect("result mutex poisoned")
+                .expect("every item is mapped")
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tuna_cloudsim::{Region, VmSku};
     use tuna_space::Config;
     use tuna_stats::rng::hash_combine;
@@ -610,5 +530,30 @@ mod tests {
         assert_eq!(ExecutionMode::Serial.workers(), 1);
         assert_eq!(ExecutionMode::Parallel { workers: 4 }.workers(), 4);
         assert_eq!(ExecutionMode::Parallel { workers: 0 }.workers(), 1);
+    }
+
+    proptest! {
+        #[test]
+        fn ordered_map_maps_every_item_once_in_input_order(
+            n in 0usize..41,
+            workers in 1usize..9,
+        ) {
+            let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = ordered_map((0..n).collect(), workers, |worker, i: usize| {
+                calls[i].fetch_add(1, Ordering::Relaxed);
+                (worker, i)
+            });
+            prop_assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+            let order: Vec<usize> = out.iter().map(|&(_, i)| i).collect();
+            prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
+            prop_assert!(out.iter().all(|&(worker, _)| worker < workers));
+
+            // One worker maps inline: worker 0, on the calling thread.
+            let caller = std::thread::current().id();
+            let inline = ordered_map((0..n).collect(), 1, |worker, i: usize| {
+                (worker, std::thread::current().id() == caller, i)
+            });
+            prop_assert!(inline.iter().all(|&(worker, here, _)| worker == 0 && here));
+        }
     }
 }

@@ -20,6 +20,7 @@
 //! set (inference happens before training, so no leakage — §6.6).
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::adjuster::{AdjusterConfig, NoiseAdjuster};
 use crate::aggregate::AggregationPolicy;
@@ -29,7 +30,7 @@ use crate::sample::{Sample, SampleScratch};
 use crate::scheduler::TaskScheduler;
 use tuna_cloudsim::Cluster;
 use tuna_optimizer::multifidelity::LadderParams;
-use tuna_optimizer::{Objective, Optimizer};
+use tuna_optimizer::{Objective, Solver};
 use tuna_space::{Config, ConfigId};
 use tuna_stats::rng::{hash_combine, Rng};
 use tuna_sut::SystemUnderTest;
@@ -157,12 +158,33 @@ pub struct TuningResult {
     pub model_errors: Vec<ModelErrorRecord>,
 }
 
+/// Cached handles for the per-round counters, registered once like the
+/// executor's: a round costs two relaxed atomic ops, no registry lock.
+struct PipelineMetrics {
+    rounds: tuna_obs::Counter,
+    unstable: tuna_obs::Counter,
+}
+
+fn pipeline_metrics() -> &'static PipelineMetrics {
+    static METRICS: OnceLock<PipelineMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = tuna_obs::global();
+        PipelineMetrics {
+            rounds: reg.counter("tuna_pipeline_rounds_total", "tuning rounds executed"),
+            unstable: reg.counter(
+                "tuna_pipeline_unstable_total",
+                "rounds whose config was classified unstable",
+            ),
+        }
+    })
+}
+
 /// The TUNA sampling pipeline.
 pub struct TunaPipeline<'a> {
     config: TunaConfig,
     sut: &'a dyn SystemUnderTest,
     workload: &'a Workload,
-    optimizer: Box<dyn Optimizer>,
+    optimizer: Box<dyn Solver>,
     cluster: Cluster,
     scheduler: TaskScheduler,
     detector: OutlierDetector,
@@ -187,7 +209,7 @@ impl<'a> TunaPipeline<'a> {
         config: TunaConfig,
         sut: &'a dyn SystemUnderTest,
         workload: &'a Workload,
-        optimizer: Box<dyn Optimizer>,
+        optimizer: Box<dyn Solver>,
         cluster: Cluster,
     ) -> Self {
         assert!(
@@ -353,16 +375,10 @@ impl<'a> TunaPipeline<'a> {
         self.round += 1;
         // Observability side channel: fleet-wide round/unstable totals.
         // Counters never feed back into tuning.
-        tuna_obs::global()
-            .counter("tuna_pipeline_rounds_total", "tuning rounds executed")
-            .inc();
+        let metrics = pipeline_metrics();
+        metrics.rounds.inc();
         if unstable {
-            tuna_obs::global()
-                .counter(
-                    "tuna_pipeline_unstable_total",
-                    "rounds whose config was classified unstable",
-                )
-                .inc();
+            metrics.unstable.inc();
         }
         let best_so_far = self.optimizer.best().map(|(_, v)| v);
         self.trace.push(IterationRecord {

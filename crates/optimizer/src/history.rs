@@ -2,6 +2,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use tuna_space::{Config, ConfigId, ConfigSpace};
 
@@ -52,6 +53,18 @@ pub struct ConfigRecord {
     pub cost: f64,
 }
 
+/// The non-finite-cost quarantine counter, registered once so `push`
+/// costs a relaxed atomic op, not a registry lock and a name lookup.
+fn quarantined_nan() -> &'static tuna_obs::Counter {
+    static COUNTER: OnceLock<tuna_obs::Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| {
+        tuna_obs::global().counter(
+            "tuna_quarantined_nan_total",
+            "non-finite costs quarantined before any model fit",
+        )
+    })
+}
+
 /// Append-only store of observations with per-config rollups.
 ///
 /// Rollups live in an insertion-ordered `Vec` (with a `BTreeMap` used
@@ -76,12 +89,7 @@ impl History {
         if !cost.is_finite() {
             // Observability side channel only: the quarantine itself is
             // enforced by the finite-filtering consumers below.
-            tuna_obs::global()
-                .counter(
-                    "tuna_quarantined_nan_total",
-                    "non-finite costs quarantined before any model fit",
-                )
-                .inc();
+            quarantined_nan().inc();
         }
         let id = config.id();
         self.observations.push(Observation {

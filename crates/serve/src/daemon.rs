@@ -37,7 +37,7 @@
 //! request→response function the engine dispatches through.
 
 use crate::api::{self, StudySpec};
-use crate::http::{parse_request_bytes, Request, Response};
+use crate::http::{HttpError, Request, RequestParser, Response};
 use crate::manager::{Refusal, Study, StudyManager};
 
 /// Routes one parsed request against the manager.
@@ -132,23 +132,25 @@ fn unknown_study(name: &str) -> Response {
     Response::error(404, &format!("unknown study '{name}'"))
 }
 
-/// Routes one complete request frame: parse → route, with framing
-/// errors becoming structured JSON error responses. The one-shot
-/// (single request, `connection: close`) counterpart of the engine's
-/// streaming path — both sit on the same [`crate::http::RequestParser`]
-/// byte-level code.
-pub fn route_bytes(mgr: &mut StudyManager, raw: &[u8]) -> Response {
-    match parse_request_bytes(raw) {
-        Ok(req) => handle(mgr, &req),
-        Err(e) => Response::of_http_error(&e),
-    }
-}
-
 /// Convenience used by the fuzz tests and the perf gate: feed raw
 /// request bytes through the full parse→route→serialize path and return
-/// raw response bytes.
+/// raw response bytes. The one-shot (single request) counterpart of the
+/// engine's streaming path, on the same [`RequestParser`]: framing
+/// errors, including a frame truncated at the end of `raw`, become
+/// structured JSON error responses.
 pub fn handle_bytes(mgr: &mut StudyManager, raw: &[u8]) -> Vec<u8> {
-    route_bytes(mgr, raw).to_bytes()
+    let mut parser = RequestParser::new();
+    parser.feed(raw);
+    let response = match parser.next_request() {
+        Ok(Some(req)) => handle(mgr, &req),
+        Ok(None) => Response::of_http_error(
+            &parser
+                .eof_error()
+                .unwrap_or_else(|| HttpError::Truncated("connection closed mid-request".into())),
+        ),
+        Err(e) => Response::of_http_error(&e),
+    };
+    response.to_bytes()
 }
 
 /// Validates a study-spec body the way `POST /v1/studies` will, without

@@ -341,26 +341,6 @@ impl RequestParser {
     }
 }
 
-/// One-shot convenience over [`RequestParser`]: parses exactly one
-/// request from a complete byte slice (the historical
-/// one-request-per-connection path, kept for the fuzz tests and the
-/// simulator's single-request helper).
-///
-/// # Errors
-///
-/// Returns an [`HttpError`] on any framing violation, including a frame
-/// that is still incomplete at the end of the slice (truncation).
-pub fn parse_request_bytes(raw: &[u8]) -> Result<Request, HttpError> {
-    let mut parser = RequestParser::new();
-    parser.feed(raw);
-    match parser.next_request()? {
-        Some(req) => Ok(req),
-        None => Err(parser
-            .eof_error()
-            .unwrap_or_else(|| HttpError::Truncated("connection closed mid-request".into()))),
-    }
-}
-
 /// A response about to be written.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
@@ -657,8 +637,16 @@ pub fn split_responses(raw: &[u8]) -> Result<Vec<(u16, String)>, String> {
 mod tests {
     use super::*;
 
+    /// Parses exactly one request from a complete byte slice: a frame
+    /// still incomplete at the end of the slice is a truncation.
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
-        parse_request_bytes(raw)
+        let mut parser = RequestParser::new();
+        parser.feed(raw);
+        parser.next_request()?.ok_or_else(|| {
+            parser
+                .eof_error()
+                .unwrap_or_else(|| HttpError::Truncated("connection closed mid-request".into()))
+        })
     }
 
     #[test]

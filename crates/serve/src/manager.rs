@@ -89,12 +89,12 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::api::{Lane, StudySpec};
 use crate::tenant::{self, TenantRegistry, TenantUsage, DEFAULT_TENANT};
-use tuna_core::campaign::{write_atomic, Campaign, CellRecord, ResultStore};
+use tuna_core::campaign::{append_lines, write_atomic, Campaign, CellRecord, ResultStore};
 use tuna_obs::trace::{load_sidecar, render_sidecar};
 use tuna_obs::{
     CellTrace, Clock, EventKind, Journal, MetricsRegistry, SpanId, StudyTrace, TickClock,
@@ -298,21 +298,6 @@ impl TenantSched {
 /// cross-multiplication (u128: cannot overflow for u64 operands).
 fn vtime_cmp(a: (u64, u64), b: (u64, u64)) -> Ordering {
     (a.0 as u128 * b.1 as u128).cmp(&(b.0 as u128 * a.1 as u128))
-}
-
-/// Appends one `\n`-terminated line to `path`, creating the file if
-/// needed. Unlike [`write_atomic`] this is a plain append — the trace
-/// sidecar's torn-tail load discipline makes a mid-append kill safe.
-fn append_line(path: &Path, line: &str) -> Result<(), String> {
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    f.write_all(line.as_bytes())
-        .and_then(|()| f.write_all(b"\n"))
-        .map_err(|e| format!("cannot append to {}: {e}", path.display()))
 }
 
 /// The manager's observability rig: a deterministic tick clock (kept
@@ -1155,7 +1140,9 @@ impl StudyManager {
     /// # Errors
     ///
     /// See [`StudyManager::complete_timed`]; additionally a sidecar
-    /// append failure is reported before the result is recorded.
+    /// append failure is reported before the result is recorded, and a
+    /// result-journal append or finalize failure after the cell's
+    /// bookkeeping (in-flight removal, span journal, usage meter) is done.
     pub fn complete_traced(
         &mut self,
         tenant: &str,
@@ -1185,8 +1172,9 @@ impl StudyManager {
                 Ok(_) => {}
                 Err(at) => {
                     if let Some(path) = &trace_path {
-                        append_line(path, &trace.render_line())
-                            .map_err(|e| format!("study '{study}': {e}"))?;
+                        let mut line = trace.render_line();
+                        line.push('\n');
+                        append_lines(path, &line).map_err(|e| format!("study '{study}': {e}"))?;
                     }
                     s.traces.insert(at, trace);
                 }
@@ -1195,11 +1183,19 @@ impl StudyManager {
 
         s.in_flight.remove(slot);
         let cell_idx = record.cell;
-        s.store.record(&s.campaign, record);
+        // A failed journal append or finalize still leaves the cell
+        // recorded in memory, so the bookkeeping below completes before
+        // either is reported.
+        let mut stored = s
+            .store
+            .record(&s.campaign, record)
+            .map_err(|e| format!("study '{study}': {e}"));
         if s.store.len() == s.campaign.n_cells() {
-            s.store
-                .finalize(&s.campaign)
-                .map_err(|e| format!("study '{study}': finalize failed: {e}"))?;
+            stored = stored.and(
+                s.store
+                    .finalize(&s.campaign)
+                    .map_err(|e| format!("study '{study}': finalize failed: {e}")),
+            );
         }
         if let Some(span) = s.cell_spans.remove(&cell_idx) {
             self.obs.journal.end_span(span);
@@ -1219,7 +1215,8 @@ impl StudyManager {
             .expect("study tenants are registered");
         ts.usage.cells += 1;
         ts.usage.wall_ns += wall_ns;
-        self.persist_usage()
+        let persisted = self.persist_usage();
+        stored.and(persisted)
     }
 
     /// Cancels a study: pending cells are dropped (in-flight cells
@@ -1678,7 +1675,7 @@ mod tests {
         let mut store = ResultStore::open(dir.join("s.csv"), &other).unwrap();
         while let Some(cell) = (0..other.n_cells()).find(|c| store.get(*c).is_none()) {
             let (record, _) = execute_cell(&other, cell, ExecutionMode::Serial);
-            store.record(&other, record);
+            store.record(&other, record).unwrap();
         }
         drop(store);
 
@@ -1713,6 +1710,25 @@ mod tests {
             StudyPhase::Done
         );
         assert_eq!(std::fs::read_to_string(&mirror).unwrap(), results);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_finalize_is_reported_after_the_cell_is_metered() {
+        let dir = std::env::temp_dir().join(format!("tuna-mgr-badfin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut mgr = StudyManager::open(&dir).unwrap();
+        mgr.submit(spec("s", 1)).unwrap();
+        // A directory where the JSON mirror goes: finalize cannot rename
+        // over it.
+        std::fs::create_dir_all(dir.join("s.json")).unwrap();
+        let a = mgr.next_assignment().unwrap();
+        let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
+        let err = mgr.complete(&a.tenant, &a.study, record).unwrap_err();
+        assert!(err.contains("finalize failed"), "{err}");
+        let study = mgr.get(DEFAULT_TENANT, "s").unwrap();
+        assert_eq!((study.phase(), study.in_flight()), (StudyPhase::Done, 0));
+        assert_eq!(mgr.usage(DEFAULT_TENANT).unwrap().cells, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
